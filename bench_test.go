@@ -407,10 +407,11 @@ func BenchmarkSegmentedExecution(b *testing.B) {
 	}
 }
 
-// BenchmarkEnginePool measures the engine pool against fresh engine builds
-// on a root-rotation workload at 128 clusters (the reuse case the pool's
-// lookahead templates target); the pooled variant reuses one pool across
-// all roots.
+// BenchmarkEnginePool measures a caller-held engine pool against plain
+// h.Schedule calls on a root-rotation workload at 128 clusters (the reuse
+// case the pool's lookahead templates target). The "fresh" variant goes
+// through h.Schedule, which borrows from sched's process-wide pool cache
+// per call; the pooled variant reuses one pool across all roots.
 func BenchmarkEnginePool(b *testing.B) {
 	g := topology.RandomGrid(stats.NewRand(1), 128)
 	probs := make([]*sched.Problem, 8)
@@ -435,18 +436,24 @@ func BenchmarkEnginePool(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelBuild measures single-schedule construction latency with
-// the per-round receiver scans sharded across worker pools — the regime
-// where one large construction is the unit of work. workers=1 is the
-// sequential incremental engine baseline; the schedules are bit-identical
-// at every worker count.
+// BenchmarkParallelBuild measures one-shot single-schedule construction
+// latency with the per-round receiver scans sharded across a freshly
+// spawned worker pool (NewParallelBuilder → EnginePool.Scan → Schedule →
+// Close) — the regime where one large construction is the unit of work.
+// The engine state comes from one EnginePool per sub-benchmark, as every
+// build gets it from a pool in steady state. workers=1 is the sequential
+// incremental engine baseline; the schedules are bit-identical at every
+// worker count.
 func BenchmarkParallelBuild(b *testing.B) {
 	for _, n := range []int{128, 512} {
 		p := sched.MustProblem(topology.RandomGrid(stats.NewRand(1), n), 0, 1<<20, sched.Options{Overlap: true})
 		for _, w := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(b *testing.B) {
+				ep := sched.NewEnginePool()
 				for i := 0; i < b.N; i++ {
-					sched.ParallelBuild(sched.ECEFLAT(), p, w)
+					ep.Scan = sched.NewParallelBuilder(w)
+					ep.Schedule(sched.ECEFLAT(), p)
+					ep.Scan.Close()
 				}
 			})
 		}
@@ -576,19 +583,21 @@ func BenchmarkSessionPlan(b *testing.B) {
 }
 
 // BenchmarkWorkStealingBuild measures steady-state chunk-claiming on a
-// persistent pool: one ParallelBuilder reused across all builds of a
-// 512-cluster schedule, isolating the work-stealing round dispatch from
-// the per-call pool spawn BenchmarkParallelBuild pays. workers=1 is the
-// sequential engine baseline; the schedules are bit-identical throughout.
+// persistent pool: one ParallelBuilder, attached to one EnginePool, reused
+// across all builds of a 512-cluster schedule, isolating the work-stealing
+// round dispatch from the per-call pool spawn BenchmarkParallelBuild pays.
+// workers=1 is the sequential engine baseline; the schedules are
+// bit-identical throughout.
 func BenchmarkWorkStealingBuild(b *testing.B) {
 	p := sched.MustProblem(topology.RandomGrid(stats.NewRand(1), 512), 0, 1<<20, sched.Options{Overlap: true})
 	for _, w := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			pb := sched.NewParallelBuilder(w)
 			defer pb.Close()
+			ep := &sched.EnginePool{Scan: pb}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pb.Schedule(sched.ECEFLAT(), p)
+				ep.Schedule(sched.ECEFLAT(), p)
 			}
 		})
 	}

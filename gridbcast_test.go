@@ -3,31 +3,53 @@
 package gridbcast_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	. "gridbcast"
 )
 
+// planWith plans one request on a fresh session over g.
+func planWith(t *testing.T, g *Grid, opts ...Option) (*Session, *Plan) {
+	t.Helper()
+	sess, err := NewSession(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sess.Plan(NewRequest(opts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess, plan
+}
+
+// pinned parses a heuristic name, failing the test on an unknown one.
+func pinned(t *testing.T, name string) Option {
+	t.Helper()
+	h, err := ParseHeuristic(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return WithHeuristic(h)
+}
+
 func TestPredictAndSimulateAgree(t *testing.T) {
 	g := Grid5000()
 	for _, name := range []string{"FlatTree", "ECEF", "ECEF-LAT", "BottomUp", "Mixed"} {
-		sc, err := Predict(g, 0, 1<<20, name)
+		sess, plan := planWith(t, g, pinned(t, name), WithSize(1<<20))
+		res, err := sess.Execute(plan)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := Simulate(g, 0, 1<<20, name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if math.Abs(sc.Makespan-res.Makespan) > 1e-9 {
-			t.Errorf("%s: predicted %g != simulated %g", name, sc.Makespan, res.Makespan)
+		if math.Abs(plan.Makespan-res.Makespan) > 1e-9 {
+			t.Errorf("%s: predicted %g != simulated %g", name, plan.Makespan, res.Makespan)
 		}
 	}
 }
 
 func TestPredictUnknownHeuristic(t *testing.T) {
-	if _, err := Predict(Grid5000(), 0, 1, "nope"); err == nil {
+	if _, err := ParseHeuristic("nope"); err == nil {
 		t.Error("unknown heuristic accepted")
 	}
 }
@@ -38,9 +60,7 @@ func TestHeuristicNamesResolvable(t *testing.T) {
 		t.Fatalf("names = %v", names)
 	}
 	for _, n := range names {
-		if _, err := Predict(Grid5000(), 0, 1<<10, n); err != nil {
-			t.Errorf("%s: %v", n, err)
-		}
+		planWith(t, Grid5000(), pinned(t, n), WithSize(1<<10))
 	}
 }
 
@@ -56,28 +76,18 @@ func TestRandomGridDeterministic(t *testing.T) {
 
 func TestBestIsMinimal(t *testing.T) {
 	g := RandomGrid(9, 8)
-	best, err := Best(g, 0, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, best := planWith(t, g, WithSize(1<<20))
 	for _, h := range Heuristics() {
-		sc, err := Predict(g, 0, 1<<20, h.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if best.Makespan > sc.Makespan+1e-12 {
-			t.Errorf("Best (%g) worse than %s (%g)", best.Makespan, h.Name(), sc.Makespan)
+		_, plan := planWith(t, g, WithHeuristic(h), WithSize(1<<20))
+		if best.Makespan > plan.Makespan+1e-12 {
+			t.Errorf("Best (%g) worse than %s (%g)", best.Makespan, h.Name(), plan.Makespan)
 		}
 	}
 }
 
 func TestSimulateBinomialBaseline(t *testing.T) {
-	g := Grid5000()
-	res, err := SimulateBinomial(g, 0, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best, err := Best(g, 0, 1<<20)
+	sess, best := planWith(t, Grid5000(), WithSize(1<<20))
+	res, err := sess.ExecuteBinomial(0, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +98,12 @@ func TestSimulateBinomialBaseline(t *testing.T) {
 }
 
 func TestSimulateWithJitter(t *testing.T) {
-	g := Grid5000()
-	res, err := Simulate(g, 0, 1<<20, "ECEF", NetConfig{Jitter: 0.05, Seed: 3})
+	sess, plan := planWith(t, Grid5000(), pinned(t, "ECEF"), WithSize(1<<20))
+	res, err := sess.Execute(plan, NetConfig{Jitter: 0.05, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, _ := Predict(g, 0, 1<<20, "ECEF")
-	if res.Makespan == sc.Makespan {
+	if res.Makespan == plan.Makespan {
 		t.Error("jitter should perturb the measurement")
 	}
 }
@@ -106,56 +115,41 @@ func TestLoadGridMissing(t *testing.T) {
 }
 
 func TestRefineFacade(t *testing.T) {
-	g := RandomGrid(77, 7)
-	sc, err := Predict(g, 0, 1<<20, "FlatTree")
+	sess, plan := planWith(t, RandomGrid(77, 7), pinned(t, "FlatTree"), WithSize(1<<20))
+	ref, err := sess.Refine(context.Background(), plan, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Refine(g, 0, 1<<20, sc)
-	if err != nil {
-		t.Fatal(err)
+	if ref.Makespan > plan.Makespan+1e-12 {
+		t.Errorf("refine worsened %g -> %g", plan.Makespan, ref.Makespan)
 	}
-	if ref.Makespan > sc.Makespan+1e-12 {
-		t.Errorf("refine worsened %g -> %g", sc.Makespan, ref.Makespan)
-	}
-	if _, err := Refine(g, -1, 1, sc); err == nil {
+	bad := &Plan{Root: -1, Size: 1, Schedule: plan.Schedule}
+	if _, err := sess.Refine(context.Background(), bad, 0); err == nil {
 		t.Error("bad root accepted")
 	}
 }
 
 func TestSegmentedFacade(t *testing.T) {
-	g := Grid5000()
 	const m = 4 << 20
-	ss, err := PredictSegmented(g, 0, m, 256<<10, "Mixed")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess, plan := planWith(t, Grid5000(), pinned(t, "Mixed"), WithSize(m), WithSegments(256<<10))
+	ss := plan.Segmented
 	if ss.K != 16 {
 		t.Fatalf("K = %d, want 16", ss.K)
 	}
-	res, err := SimulateSegmented(g, ss)
+	res, err := sess.Execute(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.Makespan-ss.Makespan) > 1e-8 {
 		t.Errorf("predicted %g != simulated %g", ss.Makespan, res.Makespan)
 	}
-	if _, err := PredictSegmented(g, 0, m, 1<<10, "nope"); err == nil {
-		t.Error("unknown heuristic accepted")
-	}
 }
 
 func TestPipelinedFacadeBeatsUnsegmented(t *testing.T) {
 	g := Grid5000()
 	const m = 16 << 20
-	best, err := PredictPipelined(g, 0, m, "ECEF-LAT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	unseg, err := Predict(g, 0, m, "ECEF-LAT")
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, best := planWith(t, g, pinned(t, "ECEF-LAT"), WithSize(m), WithPipelined())
+	_, unseg := planWith(t, g, pinned(t, "ECEF-LAT"), WithSize(m))
 	if best.Makespan > unseg.Makespan {
 		t.Errorf("pipelined %g worse than unsegmented %g", best.Makespan, unseg.Makespan)
 	}

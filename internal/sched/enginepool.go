@@ -1,6 +1,9 @@
 package sched
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // EnginePool amortises the incremental engine's setup cost across repeated
 // schedule constructions (ROADMAP: "platforms scheduled repeatedly — root
@@ -19,11 +22,14 @@ import "math"
 //     schedules — any root, same platform and size — start from a single
 //     memcpy instead of an O(N²) rebuild + heapify. The root's entries are
 //     filtered out on first access exactly like any cluster that joined A,
-//     so the produced schedules stay bit-identical to the unpooled engine
-//     (pinned by the equivalence tests).
+//     so the produced schedules stay bit-identical to the naive reference
+//     pickers (pinned by the equivalence tests).
 //
-// A pool is NOT safe for concurrent use: sweeps that parallelise across
-// goroutines use one pool per worker (see internal/experiment).
+// EnginePool is the only code that readies and runs an incremental engine:
+// Heuristic.Schedule and ScheduleSegmented borrow one from a process-wide
+// cache (enginePools below), and callers that sweep many schedules may hold
+// their own. A pool is NOT safe for concurrent use: sweeps that parallelise
+// across goroutines use one pool per worker (see internal/experiment).
 type EnginePool struct {
 	// Scan, when non-nil, chunks every shardable per-round scan across the
 	// builder's work-stealing pool (parallel.go) — including the segmented
@@ -104,19 +110,32 @@ type laTemplate struct {
 	off     []int
 }
 
-// NewEnginePool returns an empty pool.
-func NewEnginePool() *EnginePool {
-	return &EnginePool{
-		templates: map[laTemplateKey]*laTemplate{},
-		segTrans:  map[segTransKey]*segTranspose{},
-	}
+// NewEnginePool returns an empty pool; the zero value is ready to use too.
+func NewEnginePool() *EnginePool { return &EnginePool{} }
+
+// enginePools is the process-wide EnginePool cache behind every paper
+// heuristic's Schedule method, the package-level ScheduleSegmented and
+// every call that passes a nil *EnginePool. A pool is not safe for
+// concurrent use, so each build checks one out for its duration; sync.Pool
+// keeps the association per-P in steady state. Nothing that borrows from
+// here attaches a scan builder, so pools always go back with Scan == nil.
+var enginePools = sync.Pool{New: func() any { return NewEnginePool() }}
+
+// schedule builds p's schedule with h on an EnginePool borrowed from the
+// process-wide cache.
+func schedule(h Heuristic, p *Problem) *Schedule {
+	ep := enginePools.Get().(*EnginePool)
+	defer enginePools.Put(ep)
+	return ep.Schedule(h, p)
 }
 
-// Schedule builds p's schedule with h through the pool's recycled engines.
-// The result is identical to h.Schedule(p) in every field.
+// Schedule builds p's schedule with h through the pool's recycled engines;
+// a nil pool borrows one from the process-wide cache for the call. The
+// result is identical to Reference{Base: h}.Schedule(p) in every field.
+// Heuristics without an incremental engine delegate to their own Schedule.
 func (ep *EnginePool) Schedule(h Heuristic, p *Problem) *Schedule {
-	if referencePick {
-		return h.Schedule(p)
+	if ep == nil {
+		return schedule(h, p)
 	}
 	switch hh := h.(type) {
 	case FlatTree:
@@ -239,7 +258,7 @@ func (ep *EnginePool) loadLookahead(ls *lookaheadSet, h ecef, p *Problem, local 
 	ls.fVal, ls.fTop = ep.fVal, ep.fTop
 	// Initial extrema: A = {root}, so the template's root entries are
 	// discarded here exactly as the engine discards any member that joined
-	// A; heaps hold the same candidate sets as an unpooled build.
+	// A; heaps hold the same candidate sets as the naive lookahead scan.
 	ep.inA[p.Root] = true
 	for j := 0; j < p.N; j++ {
 		if j == p.Root {
@@ -254,15 +273,16 @@ func (ep *EnginePool) loadLookahead(ls *lookaheadSet, h ecef, p *Problem, local 
 // Segmented scheduling through the pool
 
 // ScheduleSegmented builds sp's pipelined schedule with h through the
-// pool's recycled segmented engines. The result is identical to
-// ScheduleSegmented(h, sp) in every field; steady-state construction reuses
-// the candidate caches, the per-segment transposes and the lookahead
-// templates (the lookahead keys off the full-message W and the effective T
-// vector, so plain-T templates are shared with the unsegmented engines —
-// any segment size, same platform — while the end-to-end pipeline's TL
-// views get their own key).
+// pool's recycled segmented engines; a nil pool borrows one from the
+// process-wide cache for the call. The result is identical to
+// ScheduleSegmentedReference(h, sp) in every field; steady-state
+// construction reuses the candidate caches, the per-segment transposes and
+// the lookahead templates (the lookahead keys off the full-message W and
+// the effective T vector, so plain-T templates are shared with the
+// unsegmented engines — any segment size, same platform — while the
+// end-to-end pipeline's TL views get their own key).
 func (ep *EnginePool) ScheduleSegmented(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
-	if referencePick || sp.N < segEngineMinN {
+	if ep == nil {
 		return ScheduleSegmented(h, sp)
 	}
 	return coordGuard(h, sp, func(spx *SegmentedProblem) *SegmentedSchedule {
@@ -299,7 +319,11 @@ func (ep *EnginePool) scheduleSegmentedOnce(h Heuristic, sp *SegmentedProblem) *
 		ss.Heuristic = hh.Name()
 		return ss
 	default:
-		return scheduleSegmentedOnce(h, sp)
+		// No native segmented picker: the unsegmented tree, exactly
+		// re-timed under the per-segment model.
+		ss := EvaluateSegmented(sp, pairsOf(ep.Schedule(h, sp.Problem)))
+		ss.Heuristic = h.Name()
+		return ss
 	}
 	if ep.Scan != nil {
 		pol = ep.Scan.segPolicyFor(pol)
@@ -313,8 +337,8 @@ func (ep *EnginePool) scheduleSegmentedOnce(h Heuristic, sp *SegmentedProblem) *
 // The Gs/Wl transposes come from the pool's per-matrix-identity cache (the
 // ROADMAP item behind Pipelined ladder setup cost): ladder rungs and
 // repeated schedules at the same segmentation skip the O(N²) rebuild
-// entirely. ep.segRc therefore only aliases shared transposes — it must
-// never be reset through segRecvCache.reset, which would write into them.
+// entirely. ep.segRc only aliases those shared transposes and never writes
+// into them.
 func (ep *EnginePool) ensureSeg(sp *SegmentedProblem) {
 	ep.ensure(sp.N)
 	if ep.segN != sp.N {
@@ -344,13 +368,13 @@ func (ep *EnginePool) transposesFor(sp *SegmentedProblem) *segTranspose {
 	if tr := ep.segTrans[key]; tr != nil && tr.n == sp.N {
 		return tr
 	}
-	if len(ep.segTrans) >= maxTemplates {
+	if ep.segTrans == nil || len(ep.segTrans) >= maxTemplates {
 		ep.segTrans = map[segTransKey]*segTranspose{}
 	}
 	tr := &segTranspose{
 		n:   sp.N,
-		gsT: transposeInto(nil, sp.Gs, sp.N),
-		wlT: transposeInto(nil, sp.Wl, sp.N),
+		gsT: transpose(sp.Gs, sp.N),
+		wlT: transpose(sp.Wl, sp.N),
 	}
 	ep.segTrans[key] = tr
 	return tr
@@ -370,7 +394,7 @@ func (ep *EnginePool) template(h ecef, p *Problem, local bool) *laTemplate {
 		(h.kind == laMinW || floatsEqual(tpl.t, p.T)) {
 		return tpl
 	}
-	if len(ep.templates) >= maxTemplates {
+	if ep.templates == nil || len(ep.templates) >= maxTemplates {
 		ep.templates = map[laTemplateKey]*laTemplate{}
 	}
 	n := p.N
@@ -380,7 +404,7 @@ func (ep *EnginePool) template(h ecef, p *Problem, local bool) *laTemplate {
 	}
 	for j := 0; j < n; j++ {
 		tpl.off[j] = len(tpl.backing)
-		tpl.backing = laEntriesFor(tpl.backing, h, p, j, -1)
+		tpl.backing = laEntriesFor(tpl.backing, h, p, j)
 		hp := laHeap{es: tpl.backing[tpl.off[j]:len(tpl.backing)]}
 		hp.heapify()
 	}

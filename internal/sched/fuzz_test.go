@@ -169,8 +169,8 @@ func FuzzEvaluateSegmented(f *testing.F) {
 
 // FuzzEngineEquivalence fuzzes gap matrices — including coarsely quantised
 // ones full of exact ties — and checks that the incremental engine, the
-// parallel builder and the pooled engines all reproduce the naive reference
-// pickers bit for bit, for the segmented model too.
+// parallel scan builder and a long-lived pool all reproduce the naive
+// reference pickers bit for bit, for the segmented model too.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(0), uint8(0), uint8(1), false)
 	f.Add(int64(5), uint8(24), uint8(2), uint8(3), uint8(5), true)
@@ -184,8 +184,8 @@ func FuzzEngineEquivalence(f *testing.F) {
 			if inc := h.Schedule(p); !reflect.DeepEqual(inc, ref) {
 				t.Fatalf("%s: engine diverges from reference", h.Name())
 			}
-			if par := ParallelBuild(h, p, 3); !reflect.DeepEqual(par, ref) {
-				t.Fatalf("%s: ParallelBuild diverges from reference", h.Name())
+			if par := scanBuild(h, p, 3); !reflect.DeepEqual(par, ref) {
+				t.Fatalf("%s: parallel scan build diverges from reference", h.Name())
 			}
 			if pooled := ep.Schedule(h, p); !reflect.DeepEqual(pooled, ref) {
 				t.Fatalf("%s: pooled engine diverges from reference", h.Name())

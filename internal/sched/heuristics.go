@@ -23,8 +23,6 @@ func (FlatTree) pick(p *Problem, s *state) (int, int) {
 	return -1, -1
 }
 
-func (FlatTree) engine(p *Problem) policy { return &flatEngine{d: 1} }
-
 // Schedule implements Heuristic.
 func (h FlatTree) Schedule(p *Problem) *Schedule { return schedule(h, p) }
 
@@ -83,8 +81,6 @@ func (h FEF) pick(p *Problem, s *state) (int, int) {
 	}
 	return bi, bj
 }
-
-func (h FEF) engine(p *Problem) policy { return newFEFEngine(h, p) }
 
 // Schedule implements Heuristic.
 func (h FEF) Schedule(p *Problem) *Schedule { return schedule(h, p) }
@@ -179,8 +175,6 @@ func (h ecef) pick(p *Problem, s *state) (int, int) {
 	return bi, bj
 }
 
-func (h ecef) engine(p *Problem) policy { return newECEFEngine(h, p) }
-
 func (h ecef) Schedule(p *Problem) *Schedule { return schedule(h, p) }
 
 // ECEF returns Bhat's Early Completion Edge First heuristic.
@@ -244,8 +238,6 @@ func (BottomUp) pick(p *Problem, s *state) (int, int) {
 	return bi, bj
 }
 
-func (BottomUp) engine(p *Problem) policy { return newBUEngine(p) }
-
 // Schedule implements Heuristic.
 func (h BottomUp) Schedule(p *Problem) *Schedule { return schedule(h, p) }
 
@@ -281,11 +273,7 @@ func (h Mixed) inner(p *Problem) Heuristic {
 }
 
 // Schedule implements Heuristic.
-func (h Mixed) Schedule(p *Problem) *Schedule {
-	sc := h.inner(p).Schedule(p)
-	sc.Heuristic = h.Name()
-	return sc
-}
+func (h Mixed) Schedule(p *Problem) *Schedule { return schedule(h, p) }
 
 // ---------------------------------------------------------------------------
 // Registry

@@ -141,11 +141,13 @@ func (rs *roundState) work() {
 }
 
 // ParallelBuilder owns a persistent worker pool for parallel schedule
-// construction. Sweeps that build many schedules (root rotation, size
-// ladders, Monte-Carlo workers) create one builder and reuse it, so the
-// goroutines are spawned once per sweep rather than once per schedule.
-// A builder is NOT safe for concurrent use — one per sweep worker, like
-// EnginePool.
+// construction. Attached as EnginePool.Scan, it chunks every shardable
+// per-round scan of the pool's engines — unsegmented, segmented and every
+// rung of a pipelined ladder. Sweeps that build many schedules (root
+// rotation, size ladders, Monte-Carlo workers) attach one builder and reuse
+// it, so the goroutines are spawned once per sweep rather than once per
+// schedule. A builder is NOT safe for concurrent use — one per sweep
+// worker, like EnginePool.
 type ParallelBuilder struct {
 	workers int
 	// rs is heap-allocated separately so helper goroutines can hold it
@@ -250,38 +252,6 @@ func (pb *ParallelBuilder) round(nRem int, foldBetter func(next, cur pickCand) b
 	return best
 }
 
-// Schedule builds h's schedule with the per-round receiver scans chunked
-// across the pool. The result is bit-identical to h.Schedule(p) in every
-// field at any worker count; only the construction latency changes.
-// Heuristics without a chunkable scan (FlatTree's cursor, exhaustive
-// searches) fall back to the sequential path, which satisfies the same
-// contract trivially.
-func (pb *ParallelBuilder) Schedule(h Heuristic, p *Problem) *Schedule {
-	switch hh := h.(type) {
-	case Mixed:
-		sc := pb.Schedule(hh.inner(p), p)
-		sc.Heuristic = hh.Name()
-		return sc
-	case Refined:
-		return Refine(p, pb.Schedule(hh.Base, p), hh.MaxRounds)
-	}
-	if pb.workers <= 1 || p.N <= 1 || referencePick {
-		return h.Schedule(p)
-	}
-	var sc parallelScanner
-	switch hh := h.(type) {
-	case FEF:
-		sc = newFEFEngine(hh, p)
-	case ecef:
-		sc = newECEFEngine(hh, p)
-	case BottomUp:
-		sc = newBUEngine(p)
-	default:
-		return h.Schedule(p)
-	}
-	return run(&parallelPolicy{pb: pb, sc: sc}, p)
-}
-
 // parallelPolicy adapts a parallelScanner to the round-based run engine,
 // dispatching each round's scan to the builder's pool.
 type parallelPolicy struct {
@@ -326,25 +296,6 @@ func (pb *ParallelBuilder) segPolicyFor(pol segPolicy) segPolicy {
 		return &segParallelPolicy{pb: pb, sc: sc}
 	}
 	return pol
-}
-
-// ParallelBuild is the one-shot form of ParallelBuilder.Schedule: build a
-// single schedule with workers scan goroutines, then release the pool.
-func ParallelBuild(h Heuristic, p *Problem, workers int) *Schedule {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > p.N {
-		workers = p.N
-	}
-	if workers <= 1 || referencePick {
-		// Delegate composites so the sequential fallback stays uniform.
-		pb := ParallelBuilder{workers: 1}
-		return pb.Schedule(h, p)
-	}
-	pb := NewParallelBuilder(workers)
-	defer pb.Close()
-	return pb.Schedule(h, p)
 }
 
 // ---------------------------------------------------------------------------

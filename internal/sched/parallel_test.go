@@ -11,6 +11,14 @@ import (
 // more workers than receivers, and a typical core count.
 var parallelWorkerCounts = []int{1, 2, 3, 5, 8, 32}
 
+// scanBuild is a one-shot parallel construction: an EnginePool with a
+// workers-wide Scan builder attached, released after one schedule.
+func scanBuild(h Heuristic, p *Problem, workers int) *Schedule {
+	pb := NewParallelBuilder(workers)
+	defer pb.Close()
+	return (&EnginePool{Scan: pb}).Schedule(h, p)
+}
+
 // TestParallelBuildMatchesEngineGrid5000 pins the bit-identity contract on
 // the paper's platform: every heuristic, every root, several sizes, every
 // worker count.
@@ -20,9 +28,9 @@ func TestParallelBuildMatchesEngineGrid5000(t *testing.T) {
 		for root := 0; root < g.N(); root++ {
 			p := MustProblem(g, root, m, Options{})
 			for _, h := range equivalenceHeuristics() {
-				seq := h.Schedule(p)
+				seq := Reference{Base: h}.Schedule(p)
 				for _, w := range parallelWorkerCounts {
-					par := ParallelBuild(h, p, w)
+					par := scanBuild(h, p, w)
 					assertIdentical(t, h.Name(), par, seq)
 				}
 			}
@@ -45,9 +53,9 @@ func TestParallelBuildMatchesEngineRandom(t *testing.T) {
 		}
 		p := MustProblem(g, r.Intn(n), 1<<20, Options{Overlap: trial%3 == 0})
 		for _, h := range equivalenceHeuristics() {
-			seq := h.Schedule(p)
+			seq := Reference{Base: h}.Schedule(p)
 			for _, w := range parallelWorkerCounts {
-				assertIdentical(t, h.Name(), ParallelBuild(h, p, w), seq)
+				assertIdentical(t, h.Name(), scanBuild(h, p, w), seq)
 			}
 		}
 	}
@@ -64,31 +72,31 @@ func TestParallelBuildLargeGrid(t *testing.T) {
 	for _, h := range equivalenceHeuristics() {
 		seq := h.Schedule(p)
 		for _, w := range []int{2, 8} {
-			assertIdentical(t, h.Name(), ParallelBuild(h, p, w), seq)
+			assertIdentical(t, h.Name(), scanBuild(h, p, w), seq)
 		}
 	}
 }
 
 // TestParallelBuildComposites checks the delegating paths: Mixed renames its
-// inner schedule, Refined parallelises only the base construction, FlatTree
-// and unknown heuristics fall back to the sequential path.
+// inner schedule, while Refined (no pooled engine) and FlatTree (a cursor
+// with no scan to chunk) build sequentially.
 func TestParallelBuildComposites(t *testing.T) {
 	r := stats.NewRand(31)
 	for _, n := range []int{6, 30} {
 		p := MustProblem(topology.RandomGrid(r, n), 0, 1<<20, Options{})
-		assertIdentical(t, "Mixed", ParallelBuild(Mixed{}, p, 4), Mixed{}.Schedule(p))
+		assertIdentical(t, "Mixed", scanBuild(Mixed{}, p, 4), Reference{Base: Mixed{}}.Schedule(p))
 		ref := Refined{Base: ECEFLA(), MaxRounds: 1}
-		assertIdentical(t, "Refined", ParallelBuild(ref, p, 4), ref.Schedule(p))
-		assertIdentical(t, "FlatTree", ParallelBuild(FlatTree{}, p, 4), FlatTree{}.Schedule(p))
+		assertIdentical(t, "Refined", scanBuild(ref, p, 4), Reference{Base: ref}.Schedule(p))
+		assertIdentical(t, "FlatTree", scanBuild(FlatTree{}, p, 4), Reference{Base: FlatTree{}}.Schedule(p))
 	}
 }
 
 // TestParallelBuildDefaultWorkers exercises the workers <= 0 default
-// (GOMAXPROCS) and the workers > N cap.
+// (GOMAXPROCS) and a builder with more workers than receivers.
 func TestParallelBuildDefaultWorkers(t *testing.T) {
 	p := MustProblem(topology.RandomGrid(stats.NewRand(8), 12), 0, 1<<20, Options{})
 	for _, h := range equivalenceHeuristics() {
-		assertIdentical(t, h.Name(), ParallelBuild(h, p, 0), h.Schedule(p))
-		assertIdentical(t, h.Name(), ParallelBuild(h, p, 100), h.Schedule(p))
+		assertIdentical(t, h.Name(), scanBuild(h, p, 0), Reference{Base: h}.Schedule(p))
+		assertIdentical(t, h.Name(), scanBuild(h, p, 100), Reference{Base: h}.Schedule(p))
 	}
 }

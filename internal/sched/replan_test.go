@@ -193,8 +193,8 @@ func driftProblem(p *Problem, changed int, factor float64) *Problem {
 // FuzzReplanEquivalence fuzzes platforms — including the coarsely quantised
 // dyadic ones full of exact ties — drifts one cluster by a power of two, and
 // checks that the replayed schedule is bit-identical to a from-scratch build
-// on the drifted problem, for every traceable heuristic, with and without
-// the engine pool.
+// on the drifted problem, for every traceable heuristic, on a long-lived
+// and on a borrowed engine pool.
 func FuzzReplanEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(0), uint8(0), uint8(0), uint8(0), false)
 	f.Add(int64(5), uint8(24), uint8(2), uint8(3), uint8(5), uint8(1), true)
@@ -217,13 +217,13 @@ func FuzzReplanEquivalence(f *testing.F) {
 				t.Fatalf("%s: replan diverges from rebuild (seed %d n %d changed %d factor %g)",
 					h.Name(), seed, p.N, changed, factor)
 			}
-			// Unpooled trace, same contract.
+			// Trace built on a borrowed pool (nil ep), same contract.
 			scu, tru := ScheduleTraced(nil, h, p)
 			if !reflect.DeepEqual(scu, sc) {
-				t.Fatalf("%s: pooled and unpooled traced builds diverge", h.Name())
+				t.Fatalf("%s: borrowed-pool and long-lived-pool traced builds diverge", h.Name())
 			}
 			if gotu := ReplanSchedule(pNew, scu, tru, changed); !reflect.DeepEqual(gotu, want) {
-				t.Fatalf("%s: unpooled replan diverges from rebuild", h.Name())
+				t.Fatalf("%s: borrowed-pool replan diverges from rebuild", h.Name())
 			}
 		}
 	})

@@ -19,24 +19,9 @@ func assertSegIdentical(t *testing.T, label string, inc, ref *SegmentedSchedule)
 	}
 }
 
-// segEngineSchedule forces the incremental segmented engine regardless of
-// the segEngineMinN routing gate, so small golden platforms (Grid5000 has
-// 6 clusters) still pin the engine itself and not naive-vs-naive.
-func segEngineSchedule(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
-	pol := segEnginePolicyFor(h, sp)
-	if pol == nil {
-		return ScheduleSegmented(h, sp)
-	}
-	ss := runSegmented(pol, sp)
-	ss.Heuristic = h.Name()
-	return ss
-}
-
 // TestSegmentedEngineMatchesReferenceGrid5000 pins the golden equivalence
 // on the paper's platform: every heuristic with a native segmented picker,
-// several message sizes and segment sizes, every root. Grid5000 sits below
-// the segEngineMinN routing gate, so the engine is invoked directly — the
-// gate must never be what makes this test pass.
+// several message sizes and segment sizes, every root.
 func TestSegmentedEngineMatchesReferenceGrid5000(t *testing.T) {
 	g := topology.Grid5000()
 	for _, m := range []int64{1 << 20, 9 << 20} {
@@ -44,7 +29,7 @@ func TestSegmentedEngineMatchesReferenceGrid5000(t *testing.T) {
 			for root := 0; root < g.N(); root++ {
 				sp := MustSegmentedProblem(g, root, m, segSize, Options{})
 				for _, h := range segmentedHeuristics() {
-					inc := segEngineSchedule(h, sp)
+					inc := ScheduleSegmented(h, sp)
 					ref := ScheduleSegmentedReference(h, sp)
 					assertSegIdentical(t, h.Name(), inc, ref)
 					if err := inc.Validate(sp); err != nil {
@@ -74,14 +59,9 @@ func TestSegmentedEngineMatchesReferenceRandom(t *testing.T) {
 		segSize := []int64{m, m / 2, m / 16, m / 100}[trial%4]
 		sp := MustSegmentedProblem(g, r.Intn(n), m, segSize, Options{Overlap: trial%3 == 0})
 		for _, h := range segmentedHeuristics() {
-			// Below the routing gate the engine is forced directly, so every
-			// trial — not just the n >= segEngineMinN majority — tests it.
-			inc := segEngineSchedule(h, sp)
+			inc := ScheduleSegmented(h, sp)
 			ref := ScheduleSegmentedReference(h, sp)
 			assertSegIdentical(t, h.Name(), inc, ref)
-			if sp.N >= segEngineMinN {
-				assertSegIdentical(t, h.Name()+" (routed)", ScheduleSegmented(h, sp), ref)
-			}
 		}
 	}
 }
@@ -117,9 +97,9 @@ func TestSegmentedEngineLargeGrid(t *testing.T) {
 	}
 }
 
-// TestEnginePoolSegmented checks the pooled segmented path against the
-// unpooled engine (and hence the naive reference) across heuristics, roots
-// and repeated reuse of one pool — the buffer-recycling contract.
+// TestEnginePoolSegmented checks one long-lived pool's segmented path
+// against the naive reference across heuristics, roots and repeated reuse
+// of the pool — the buffer-recycling contract.
 func TestEnginePoolSegmented(t *testing.T) {
 	g := topology.Grid5000()
 	ep := NewEnginePool()
@@ -128,7 +108,7 @@ func TestEnginePoolSegmented(t *testing.T) {
 			sp := MustSegmentedProblem(g, root, m, 128<<10, Options{})
 			for _, h := range segmentedHeuristics() {
 				pooled := ep.ScheduleSegmented(h, sp)
-				assertSegIdentical(t, h.Name(), pooled, ScheduleSegmented(h, sp))
+				assertSegIdentical(t, h.Name(), pooled, ScheduleSegmentedReference(h, sp))
 			}
 		}
 	}
@@ -138,7 +118,7 @@ func TestEnginePoolSegmented(t *testing.T) {
 	for _, segSize := range []int64{1 << 20, 64 << 10} {
 		sp := MustSegmentedProblem(g2, 1, 1<<20, segSize, Options{Overlap: true})
 		for _, h := range segmentedHeuristics() {
-			assertSegIdentical(t, h.Name(), ep.ScheduleSegmented(h, sp), ScheduleSegmented(h, sp))
+			assertSegIdentical(t, h.Name(), ep.ScheduleSegmented(h, sp), ScheduleSegmentedReference(h, sp))
 		}
 	}
 }

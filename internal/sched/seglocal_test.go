@@ -177,17 +177,14 @@ func TestSegmentedLocalGainsOnGrid5000(t *testing.T) {
 }
 
 // TestSegmentedLocalEngineMatchesReference pins the incremental segmented
-// engine (and the pooled variant) against the naive pickers under the
-// end-to-end pipeline's TL-based costs, on a platform large enough to clear
-// the engine gate (Grid5000 clusters replicated past segEngineMinN).
+// engine (borrowed and long-lived pools) against the naive pickers under
+// the end-to-end pipeline's TL-based costs, on Grid5000 clusters
+// replicated to 24.
 func TestSegmentedLocalEngineMatchesReference(t *testing.T) {
 	g := bigTreeGrid(24)
 	ep := NewEnginePool()
 	for _, segSize := range []int64{16 << 20, 512 << 10, 64 << 10} {
 		sp := MustSegmentedProblem(g, 1, 16<<20, segSize, localOpts)
-		if sp.N < segEngineMinN {
-			t.Fatalf("test platform too small to exercise the engine (N=%d)", sp.N)
-		}
 		for _, h := range append(Paper(), Mixed{}) {
 			ref := ScheduleSegmentedReference(h, sp)
 			if got := ScheduleSegmented(h, sp); !reflect.DeepEqual(got, ref) {

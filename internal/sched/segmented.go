@@ -639,34 +639,17 @@ func coordGuard(h Heuristic, sp *SegmentedProblem, build func(*SegmentedProblem)
 }
 
 // ScheduleSegmented builds a pipelined schedule for sp with the segment-aware
-// variant of h. Every paper heuristic (and Mixed) has a native segmented
-// greedy — served by the incremental segmented engine (segengine.go), which
-// is bit-identical to the naive pickers retained below; other heuristics
-// fall back to their unsegmented tree, exactly re-timed under the
-// per-segment model. Under the end-to-end pipeline the result is never
-// worse than h's coordinator-only schedule at the same segmentation
-// (coordGuard).
+// variant of h, on an EnginePool borrowed from the process-wide cache. Every
+// paper heuristic (and Mixed) has a native segmented greedy — served by the
+// incremental segmented engine (segengine.go), which is bit-identical to the
+// naive pickers retained below; other heuristics fall back to their
+// unsegmented tree, exactly re-timed under the per-segment model. Under the
+// end-to-end pipeline the result is never worse than h's coordinator-only
+// schedule at the same segmentation (coordGuard).
 func ScheduleSegmented(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
-	return coordGuard(h, sp, func(spx *SegmentedProblem) *SegmentedSchedule {
-		return scheduleSegmentedOnce(h, spx)
-	})
-}
-
-func scheduleSegmentedOnce(h Heuristic, sp *SegmentedProblem) *SegmentedSchedule {
-	var pol segPolicy
-	if referencePick || sp.N < segEngineMinN {
-		pol = segPolicyFor(h, sp)
-	} else {
-		pol = segEnginePolicyFor(h, sp)
-	}
-	if pol == nil {
-		ss := EvaluateSegmented(sp, pairsOf(h.Schedule(sp.Problem)))
-		ss.Heuristic = h.Name()
-		return ss
-	}
-	ss := runSegmented(pol, sp)
-	ss.Heuristic = h.Name()
-	return ss
+	ep := enginePools.Get().(*EnginePool)
+	defer enginePools.Put(ep)
+	return ep.ScheduleSegmented(h, sp)
 }
 
 // ScheduleSegmentedReference forces the naive quadratic-scan segmented
@@ -688,7 +671,8 @@ func ScheduleSegmentedReference(h Heuristic, sp *SegmentedProblem) *SegmentedSch
 }
 
 // segPolicyFor returns the native NAIVE segmented picker for h, or nil when
-// h has none (see segEnginePolicyFor for the incremental counterparts).
+// h has none (see EnginePool.ScheduleSegmented for the incremental
+// counterparts).
 func segPolicyFor(h Heuristic, sp *SegmentedProblem) segPolicy {
 	switch hh := h.(type) {
 	case FlatTree:
@@ -765,13 +749,13 @@ func (pl Pipelined) Best(g *topology.Grid, root int, m int64, opt Options) (*Seg
 	return pl.BestContext(context.Background(), nil, g, root, m, opt)
 }
 
-// BestContext is Best with cooperative cancellation and optional engine
-// pooling. ctx is checked before each ladder candidate, so a cancelled
-// search returns ctx's error within one rung's construction time. A non-nil
-// ep routes every candidate through the pool, reusing the candidate caches,
-// lookahead templates and the per-matrix-identity Gs/Wl transposes across
-// rungs and across repeated searches on one platform; the produced schedule
-// is identical either way (the pool's equivalence contract).
+// BestContext is Best with cooperative cancellation on a caller-held engine
+// pool. ctx is checked before each ladder candidate, so a cancelled search
+// returns ctx's error within one rung's construction time. Every candidate
+// goes through ep, reusing the candidate caches, lookahead templates and
+// the per-matrix-identity Gs/Wl transposes across rungs and across repeated
+// searches on one platform; a nil ep borrows from the process-wide cache
+// per rung. The produced schedule is identical either way.
 func (pl Pipelined) BestContext(ctx context.Context, ep *EnginePool, g *topology.Grid, root int, m int64, opt Options) (*SegmentedSchedule, error) {
 	ladder := pl.Ladder
 	if len(ladder) == 0 {
@@ -786,12 +770,7 @@ func (pl Pipelined) BestContext(ctx context.Context, ep *EnginePool, g *topology
 		if err != nil {
 			return nil, err
 		}
-		var ss *SegmentedSchedule
-		if ep != nil {
-			ss = ep.ScheduleSegmented(pl.base(), sp)
-		} else {
-			ss = ScheduleSegmented(pl.base(), sp)
-		}
+		ss := ep.ScheduleSegmented(pl.base(), sp)
 		if best == nil || ss.Makespan < best.Makespan {
 			best = ss
 		}

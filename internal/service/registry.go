@@ -37,6 +37,12 @@ func ParsePlatformSpec(s string) (PlatformSpec, error) {
 	return PlatformSpec{Name: name, Source: source}, nil
 }
 
+// maxRandomClusters bounds the cluster count of a random:<seed>:<n> source.
+// A random platform's cost matrices are O(n²), so an unchecked n taken from
+// a flag or a reload is a memory bomb; 1024 is twice the largest grid the
+// repository's tests and benchmarks generate.
+const maxRandomClusters = 1024
+
 // LoadGridSource resolves a platform source string to a validated grid.
 // File-backed sources re-read the file on every call, which is what makes
 // Registry.Reload pick up re-measured fits.
@@ -53,6 +59,9 @@ func LoadGridSource(source string) (*gridbcast.Grid, error) {
 		n, err2 := strconv.Atoi(parts[2])
 		if err1 != nil || err2 != nil || n < 1 {
 			return nil, fmt.Errorf("service: source %q: bad seed or cluster count", source)
+		}
+		if n > maxRandomClusters {
+			return nil, fmt.Errorf("service: source %q: %d clusters exceeds the limit of %d", source, n, maxRandomClusters)
 		}
 		return gridbcast.RandomGrid(seed, n), nil
 	case strings.HasSuffix(source, ".fits"):

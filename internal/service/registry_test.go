@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,6 +50,15 @@ func TestLoadGridSource(t *testing.T) {
 		if _, err := LoadGridSource(bad); err == nil {
 			t.Errorf("LoadGridSource(%q): want error", bad)
 		}
+	}
+	// The cluster-count bound: the limit itself loads, one past it is
+	// rejected before any cost matrix is allocated.
+	if g, err = LoadGridSource(fmt.Sprintf("random:7:%d", maxRandomClusters)); err != nil || g.N() != maxRandomClusters {
+		t.Fatalf("random source at the limit: err %v", err)
+	}
+	over := fmt.Sprintf("random:7:%d", maxRandomClusters+1)
+	if _, err := LoadGridSource(over); err == nil || !strings.Contains(err.Error(), "exceeds the limit") {
+		t.Errorf("LoadGridSource(%q) = %v; want a limit error", over, err)
 	}
 
 	dir := t.TempDir()

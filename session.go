@@ -4,8 +4,7 @@ package gridbcast
 // cost a platform, schedule with a heuristic, optionally segment, optionally
 // refine, then execute on the virtual grid — and this file expresses it as
 // one composable request path instead of a combinatorial family of
-// Predict/Simulate variants (which survive in gridbcast.go as thin
-// deprecated wrappers over a Session).
+// per-call Predict/Simulate variants.
 
 import (
 	"context"
@@ -24,59 +23,49 @@ import (
 	"gridbcast/internal/topology"
 )
 
-// enginePools shares recycled scheduling engines (candidate caches, sender
-// heaps, lookahead templates, segmented Gs/Wl transposes) across every
-// Session in the process. A sched.EnginePool is not safe for concurrent
-// use, so each Plan call checks one out for its duration; sync.Pool keeps
-// the association per-P in steady state, which is the per-worker reuse
-// pattern the Monte-Carlo sweeps used to hand-roll.
-var enginePools = sync.Pool{New: func() any { return sched.NewEnginePool() }}
+// scanPools recycles engine pools wired to persistent parallel-scan worker
+// pools, so WithScanWorkers sweeps spawn their goroutines once per P rather
+// than once per schedule and keep their lookahead templates and transposes
+// warm across requests. Sequential builds need none of this: they borrow
+// from sched's process-wide engine cache. One sync.Pool per worker count —
+// mixed-count workloads reuse both sizes instead of thrashing a single
+// slot; scanEnginePool clamps counts to the platform's cluster count, so
+// the key set is bounded by the largest platform served. Pools the GC drops
+// release their builder's goroutines through sched.NewParallelBuilder's
+// cleanup, so pooling cannot leak them.
+var scanPools sync.Map // worker count -> *sync.Pool of *sched.EnginePool
 
-// scanBuilders recycles persistent parallel-scan worker pools the same way,
-// so WithScanWorkers sweeps spawn their goroutines once per P rather than
-// once per schedule (the churn PR 3's hand-rolled per-worker builders
-// avoided). One sync.Pool per worker count — mixed-count workloads reuse
-// both sizes instead of thrashing a single slot — and builders the GC drops
-// release their goroutines through sched.NewParallelBuilder's cleanup, so
-// pooling cannot leak them.
-var scanBuilders sync.Map // worker count -> *sync.Pool of *sched.ParallelBuilder
-
-func scanBuilderPool(workers int) *sync.Pool {
-	pool, _ := scanBuilders.LoadOrStore(workers, &sync.Pool{})
+func scanPool(workers int) *sync.Pool {
+	pool, _ := scanPools.LoadOrStore(workers, &sync.Pool{})
 	return pool.(*sync.Pool)
 }
 
-// checkoutScanBuilder returns a recycled builder with the given worker
-// count, spawning one when its pool is empty. Return it with
-// returnScanBuilder after use.
-func checkoutScanBuilder(workers int) *sched.ParallelBuilder {
-	if pb, _ := scanBuilderPool(workers).Get().(*sched.ParallelBuilder); pb != nil {
-		return pb
-	}
-	return sched.NewParallelBuilder(workers)
-}
-
-func returnScanBuilder(pb *sched.ParallelBuilder) {
-	scanBuilderPool(pb.Workers()).Put(pb)
-}
-
-// scanBuilderFor resolves a request's WithScanWorkers setting to a checked-
-// out builder, or nil when the request keeps the sequential engine (unset,
-// explicit 1, or a resolved GOMAXPROCS of 1). Callers must return non-nil
-// builders with returnScanBuilder.
-func scanBuilderFor(req Request) *sched.ParallelBuilder {
-	if !req.scanSet || req.scanWorkers == 1 {
+// scanEnginePool resolves a request's WithScanWorkers setting on an
+// n-cluster platform to a checked-out engine pool whose Scan builder has
+// min(w, n) workers (a round never has more receivers to scan than
+// clusters). It returns nil when the request keeps the sequential engine
+// (unset, explicit 1, or a resolved count of 1); a nil *sched.EnginePool
+// borrows from sched's process-wide cache. Callers must return non-nil
+// pools with returnScanEnginePool.
+func scanEnginePool(req Request, n int) *sched.EnginePool {
+	if !req.scanSet {
 		return nil
 	}
 	workers := req.scanWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, n)
 	if workers <= 1 {
 		return nil
 	}
-	return checkoutScanBuilder(workers)
+	if ep, _ := scanPool(workers).Get().(*sched.EnginePool); ep != nil {
+		return ep
+	}
+	return &sched.EnginePool{Scan: sched.NewParallelBuilder(workers)}
 }
+
+func returnScanEnginePool(ep *sched.EnginePool) { scanPool(ep.Scan.Workers()).Put(ep) }
 
 // Session binds a platform to everything needed to plan and execute
 // broadcasts on it: the grid's per-message-size EdgeCosts caches warm up on
@@ -272,9 +261,10 @@ func WithSegmentedLocal() Option { return func(r *Request) { r.segLocal = true }
 
 // WithScanWorkers parallelises the schedule construction itself: the
 // per-round candidate scans are sharded across w goroutines (w <= 0 means
-// GOMAXPROCS; 1 means the sequential engine). The schedule is bit-identical
-// at any worker count — only construction latency changes, which pays off
-// from a few hundred clusters up. Segmented and pipelined requests shard
+// GOMAXPROCS; 1 means the sequential engine; counts above the platform's
+// cluster count are clamped to it). The schedule is bit-identical at any
+// worker count — only construction latency changes, which pays off from a
+// few hundred clusters up. Segmented and pipelined requests shard
 // their per-round scans through the same worker pool (one pool serves
 // every rung of the pipelined ladder).
 func WithScanWorkers(w int) Option {
@@ -573,8 +563,10 @@ func (s *Session) planUncached(req Request) (*Plan, error) {
 		return nil, err
 	}
 
-	ep := enginePools.Get().(*sched.EnginePool)
-	defer enginePools.Put(ep)
+	ep := scanEnginePool(req, s.g.N())
+	if ep != nil {
+		defer returnScanEnginePool(ep)
+	}
 
 	pl := &Plan{
 		Root: req.root, Size: req.size, K: 1,
@@ -622,7 +614,7 @@ func (s *Session) planUncached(req Request) (*Plan, error) {
 			pl.Candidates = append(pl.Candidates, Candidate{Heuristic: name, Makespan: span})
 		}
 		// Strictly-smaller adoption: ties resolve to the earliest candidate,
-		// matching the legacy Best (sched.BestOf) tie-break exactly.
+		// matching sched.BestOf's tie-break exactly.
 		if pl.Schedule == nil && pl.Segmented == nil || span < pl.Makespan {
 			pl.Schedule, pl.Segmented = sc, ss
 			pl.Heuristic, pl.Makespan = name, span
@@ -648,15 +640,13 @@ func (s *Session) planUncached(req Request) (*Plan, error) {
 // buildOne constructs one candidate schedule for h under the request's
 // mode, returning the schedule (exactly one of sc/ss non-nil), the replay
 // trace when the request asked for one and the build supports it, and how
-// many schedules were built. p/sp is the pre-costed problem for the mode
-// (nil in pipelined mode, whose ladder costs one problem per rung).
+// many schedules were built. ep carries the request's scan builder (nil for
+// sequential builds, which borrow from sched's process-wide cache). p/sp is
+// the pre-costed problem for the mode (nil in pipelined mode, whose ladder
+// costs one problem per rung).
 func (s *Session) buildOne(ctx context.Context, ep *sched.EnginePool, h Heuristic, req Request, p *sched.Problem, sp *sched.SegmentedProblem) (sc *Schedule, ss *SegmentedSchedule, tr *sched.BuildTrace, built int, err error) {
 	switch {
 	case req.pipelined:
-		if pb := scanBuilderFor(req); pb != nil {
-			ep.Scan = pb
-			defer func() { ep.Scan = nil; returnScanBuilder(pb) }()
-		}
 		opt := sched.Options{Overlap: req.overlap, SegmentedLocal: req.segLocal}
 		ladder := sched.DefaultSegmentLadder(req.size)
 		ss, err = sched.Pipelined{Base: h, Ladder: ladder}.BestContext(ctx, ep, s.g, req.root, req.size, opt)
@@ -665,19 +655,13 @@ func (s *Session) buildOne(ctx context.Context, ep *sched.EnginePool, h Heuristi
 		}
 		return nil, ss, nil, len(ladder), nil
 	case req.segmented:
-		if pb := scanBuilderFor(req); pb != nil {
-			ep.Scan = pb
-			defer func() { ep.Scan = nil; returnScanBuilder(pb) }()
-		}
 		return nil, ep.ScheduleSegmented(h, sp), nil, 1, nil
 	default:
-		if pb := scanBuilderFor(req); pb != nil {
-			sc = pb.Schedule(h, p)
-			returnScanBuilder(pb)
-		} else if req.replan && req.heuristic != nil && !req.refineSet {
-			// Traced build: bit-identical schedule plus the replay log
-			// Session.Replan consumes (nil for non-traceable heuristics).
-			sc, tr = sched.ScheduleTraced(ep, h, p)
+		if ep == nil && req.replan && req.heuristic != nil && !req.refineSet {
+			// Traced build (always sequential): bit-identical schedule plus
+			// the replay log Session.Replan consumes (nil for non-traceable
+			// heuristics).
+			sc, tr = sched.ScheduleTraced(nil, h, p)
 		} else {
 			sc = ep.Schedule(h, p)
 		}

@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	gridbcast "gridbcast"
+	"gridbcast/internal/intracluster"
+	"gridbcast/internal/mpi"
 	"gridbcast/internal/sched"
 )
 
@@ -33,79 +35,56 @@ func mustSession(t *testing.T, g *gridbcast.Grid) *gridbcast.Session {
 	return s
 }
 
-// TestLegacyWrappersEquivalentToSession pins every legacy entry point
-// byte-identical (reflect.DeepEqual over every field) to its Session-based
-// replacement, and — where the pre-Session implementation is still
-// reachable through internal/sched — to the original code path too.
+// TestLegacyWrappersEquivalentToSession pins every Session entry point
+// byte-identical (reflect.DeepEqual over every field) to the raw
+// internal/sched or internal/mpi path it fronts — the naive reference
+// pickers wherever one exists. Each subtest keeps the name of the removed
+// per-call function whose Session equivalent it covers.
 func TestLegacyWrappersEquivalentToSession(t *testing.T) {
 	g := gridbcast.Grid5000()
 	sess := mustSession(t, g)
 	const root, size = 1, int64(4 << 20)
+	p := sched.MustProblem(g, root, size, sched.Options{})
 
 	t.Run("Predict", func(t *testing.T) {
-		got, err := gridbcast.Predict(g, root, size, "ECEF-LAT")
-		if err != nil {
-			t.Fatal(err)
-		}
 		plan := mustPlan(t, sess, gridbcast.WithHeuristic(gridbcast.ECEFLAT),
 			gridbcast.WithRoot(root), gridbcast.WithSize(size))
-		if !reflect.DeepEqual(got, plan.Schedule) {
-			t.Error("Predict != Session.Plan")
-		}
-		raw := sched.ECEFLAT().Schedule(sched.MustProblem(g, root, size, sched.Options{}))
-		if !reflect.DeepEqual(got, raw) {
-			t.Error("Predict != pre-Session sched path")
+		if !reflect.DeepEqual(plan.Schedule, sched.Reference{Base: sched.ECEFLAT()}.Schedule(p)) {
+			t.Error("Session.Plan != sched.Reference")
 		}
 	})
 
 	t.Run("PredictParallel", func(t *testing.T) {
-		got, err := gridbcast.PredictParallel(g, root, size, "BottomUp", 3)
-		if err != nil {
-			t.Fatal(err)
-		}
 		plan := mustPlan(t, sess, gridbcast.WithHeuristic(gridbcast.BottomUp),
 			gridbcast.WithRoot(root), gridbcast.WithSize(size), gridbcast.WithScanWorkers(3))
-		if !reflect.DeepEqual(got, plan.Schedule) {
-			t.Error("PredictParallel != Session.Plan(WithScanWorkers)")
+		seq := mustPlan(t, sess, gridbcast.WithHeuristic(gridbcast.BottomUp),
+			gridbcast.WithRoot(root), gridbcast.WithSize(size))
+		if !reflect.DeepEqual(plan.Schedule, seq.Schedule) {
+			t.Error("Session.Plan(WithScanWorkers) != sequential Session.Plan")
 		}
-		raw := sched.ParallelBuild(sched.BottomUp{}, sched.MustProblem(g, root, size, sched.Options{}), 3)
-		if !reflect.DeepEqual(got, raw) {
-			t.Error("PredictParallel != sched.ParallelBuild")
+		if !reflect.DeepEqual(plan.Schedule, sched.Reference{Base: sched.BottomUp{}}.Schedule(p)) {
+			t.Error("Session.Plan(WithScanWorkers) != sched.Reference")
 		}
 	})
 
 	t.Run("PredictSegmented", func(t *testing.T) {
-		got, err := gridbcast.PredictSegmented(g, root, size, 256<<10, "Mixed")
-		if err != nil {
-			t.Fatal(err)
-		}
 		plan := mustPlan(t, sess, gridbcast.WithHeuristic(gridbcast.Mixed),
 			gridbcast.WithRoot(root), gridbcast.WithSize(size), gridbcast.WithSegments(256<<10))
-		if !reflect.DeepEqual(got, plan.Segmented) {
-			t.Error("PredictSegmented != Session.Plan(WithSegments)")
-		}
 		sp := sched.MustSegmentedProblem(g, root, size, 256<<10, sched.Options{})
-		if !reflect.DeepEqual(got, sched.ScheduleSegmented(sched.Mixed{}, sp)) {
-			t.Error("PredictSegmented != pre-Session sched path")
+		if !reflect.DeepEqual(plan.Segmented, sched.ScheduleSegmentedReference(sched.Mixed{}, sp)) {
+			t.Error("Session.Plan(WithSegments) != sched.ScheduleSegmentedReference")
 		}
 	})
 
 	t.Run("PredictPipelined", func(t *testing.T) {
-		got, err := gridbcast.PredictPipelined(g, root, size, "ECEF-LAT")
-		if err != nil {
-			t.Fatal(err)
-		}
 		plan := mustPlan(t, sess, gridbcast.WithHeuristic(gridbcast.ECEFLAT),
 			gridbcast.WithRoot(root), gridbcast.WithSize(size), gridbcast.WithPipelined())
-		if !reflect.DeepEqual(got, plan.Segmented) {
-			t.Error("PredictPipelined != Session.Plan(WithPipelined)")
-		}
 		raw, err := sched.Pipelined{Base: sched.ECEFLAT()}.Best(g, root, size, sched.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, raw) {
-			t.Error("PredictPipelined != sched.Pipelined.Best")
+		if !reflect.DeepEqual(plan.Segmented, raw) {
+			t.Error("Session.Plan(WithPipelined) != sched.Pipelined.Best")
 		}
 		if plan.SegSize != plan.Segmented.SegSize || plan.K != plan.Segmented.K {
 			t.Errorf("plan segmentation (%d, K=%d) does not echo the schedule (%d, K=%d)",
@@ -115,86 +94,69 @@ func TestLegacyWrappersEquivalentToSession(t *testing.T) {
 
 	t.Run("Simulate", func(t *testing.T) {
 		jitter := gridbcast.NetConfig{Jitter: 0.02, Seed: 5}
-		got, err := gridbcast.Simulate(g, root, size, "ECEF", jitter)
+		plan := mustPlan(t, sess, gridbcast.WithHeuristic(gridbcast.ECEF),
+			gridbcast.WithRoot(root), gridbcast.WithSize(size), gridbcast.WithNet(jitter))
+		got, err := sess.Execute(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := mustPlan(t, sess, gridbcast.WithHeuristic(gridbcast.ECEF),
-			gridbcast.WithRoot(root), gridbcast.WithSize(size), gridbcast.WithNet(jitter))
-		want, err := sess.Execute(plan)
+		want, err := mpi.ExecuteSchedule(g, plan.Schedule, size,
+			mpi.Options{IntraShape: intracluster.Binomial, Net: jitter})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Error("Simulate != Session.Plan + Execute")
+			t.Error("Session.Execute != mpi.ExecuteSchedule")
 		}
 	})
 
 	t.Run("SimulateSegmented", func(t *testing.T) {
 		ss := mustPlan(t, sess, gridbcast.WithHeuristic(gridbcast.Mixed),
 			gridbcast.WithRoot(root), gridbcast.WithSize(size), gridbcast.WithSegments(256<<10)).Segmented
-		got, err := gridbcast.SimulateSegmented(g, ss)
+		got, err := sess.Execute(&gridbcast.Plan{Segmented: ss})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := sess.Execute(&gridbcast.Plan{Segmented: ss})
+		want, err := mpi.ExecuteSegmentedSchedule(g, ss, mpi.Options{IntraShape: intracluster.Binomial})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Error("SimulateSegmented != Session.Execute")
+			t.Error("Session.Execute (segmented) != mpi.ExecuteSegmentedSchedule")
 		}
 	})
 
 	t.Run("SimulateBinomial", func(t *testing.T) {
-		got, err := gridbcast.SimulateBinomial(g, root, size)
+		got, err := sess.ExecuteBinomial(root, size)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := sess.ExecuteBinomial(root, size)
+		want, err := mpi.ExecuteBinomialGridUnaware(g, root, size, mpi.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Error("SimulateBinomial != Session.ExecuteBinomial")
+			t.Error("Session.ExecuteBinomial != mpi.ExecuteBinomialGridUnaware")
 		}
 	})
 
 	t.Run("Best", func(t *testing.T) {
-		got, err := gridbcast.Best(g, root, size)
-		if err != nil {
-			t.Fatal(err)
-		}
 		plan := mustPlan(t, sess, gridbcast.WithRoot(root), gridbcast.WithSize(size))
-		if !reflect.DeepEqual(got, plan.Schedule) {
-			t.Error("Best != Session.Plan without WithHeuristic")
-		}
-		best, _ := sched.BestOf(sched.Paper(), sched.MustProblem(g, root, size, sched.Options{}))
-		if !reflect.DeepEqual(got, best) {
-			t.Error("Best != pre-Session sched.BestOf")
+		best, _ := sched.BestOf(sched.Paper(), p)
+		if !reflect.DeepEqual(plan.Schedule, best) {
+			t.Error("Session.Plan without WithHeuristic != sched.BestOf")
 		}
 	})
 
 	t.Run("Refine", func(t *testing.T) {
-		base, err := gridbcast.Predict(g, root, size, "FlatTree")
+		base := mustPlan(t, sess, gridbcast.WithHeuristic(gridbcast.FlatTree),
+			gridbcast.WithRoot(root), gridbcast.WithSize(size))
+		got, err := sess.Refine(context.Background(), base, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := gridbcast.Refine(g, root, size, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := sess.Refine(context.Background(),
-			&gridbcast.Plan{Root: root, Size: size, Schedule: base}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want.Schedule) {
-			t.Error("Refine != Session.Refine")
-		}
-		raw := sched.Refine(sched.MustProblem(g, root, size, sched.Options{}), base, 0)
-		if !reflect.DeepEqual(got, raw) {
-			t.Error("Refine != pre-Session sched.Refine")
+		if !reflect.DeepEqual(got.Schedule, sched.Refine(p, base.Schedule, 0)) {
+			t.Error("Session.Refine != sched.Refine")
 		}
 	})
 }
@@ -233,8 +195,8 @@ func TestBestSurfacesWinnerAndCandidates(t *testing.T) {
 
 // TestSessionPlanValidation pins the facade-boundary validation: bad roots
 // and sizes return descriptive errors (not panics, and not errors from deep
-// inside problem construction) from both Session.Plan and the legacy
-// wrappers.
+// inside problem construction) from Session.Plan, ExecuteBinomial and
+// Refine.
 func TestSessionPlanValidation(t *testing.T) {
 	g := gridbcast.Grid5000()
 	sess := mustSession(t, g)
@@ -262,24 +224,12 @@ func TestSessionPlanValidation(t *testing.T) {
 		})
 	}
 
-	// Legacy wrappers inherit the boundary validation.
-	if _, err := gridbcast.Predict(g, -3, 1<<20, "ECEF"); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("Predict bad root: %v", err)
+	// Execution and refinement entry points share the boundary validation.
+	if _, err := sess.ExecuteBinomial(-1, 1<<20); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("ExecuteBinomial bad root: %v", err)
 	}
-	if _, err := gridbcast.Best(g, 99, 1<<20); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("Best bad root: %v", err)
-	}
-	if _, err := gridbcast.SimulateBinomial(g, -1, 1<<20); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("SimulateBinomial bad root: %v", err)
-	}
-	if _, err := gridbcast.Predict(g, 0, -1, "ECEF"); err == nil || !strings.Contains(err.Error(), "negative message size") {
-		t.Errorf("Predict negative size: %v", err)
-	}
-	sc, err := gridbcast.Predict(g, 0, 1<<10, "ECEF")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gridbcast.Refine(g, -1, 1<<10, sc); err == nil || !strings.Contains(err.Error(), "out of range") {
+	plan := mustPlan(t, sess, gridbcast.WithHeuristic(gridbcast.ECEF), gridbcast.WithSize(1<<10))
+	if _, err := sess.Refine(context.Background(), &gridbcast.Plan{Root: -1, Size: 1 << 10, Schedule: plan.Schedule}, 0); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("Refine bad root: %v", err)
 	}
 }
@@ -505,7 +455,7 @@ func TestPlanStatsAndExecuteNet(t *testing.T) {
 // pipelined plans built with a scan pool are byte-identical (wall-clock
 // stats aside) to the sequential builds, at several worker counts.
 func TestScanWorkersCoverSegmentedAndPipelined(t *testing.T) {
-	g := gridbcast.RandomGrid(29, 32) // above the segmented engine's routing gate
+	g := gridbcast.RandomGrid(29, 32)
 	sess := mustSession(t, g)
 	base := []gridbcast.Option{
 		gridbcast.WithHeuristic(gridbcast.ECEFLAT),
