@@ -13,13 +13,16 @@ import (
 
 // BenchmarkServePlan measures end-to-end POST /v1/plan handler throughput
 // at the two cache extremes: "hit" replays one request (pure cache
-// serving — decode, lookup, admission, encode), "miss" makes every
-// request key unique so every plan is built. Reports plans/s and the
-// service histogram's p50/p99 alongside the standard ns/op.
+// serving — decode, lookup, admission, write of the memoized plan),
+// "miss" makes every request key unique so every plan is built.
+// "hit-pipelined" replays a pipelined plan on a 32-cluster platform,
+// whose body (over 4 KB) is larger than net/http's response buffer.
+// Reports plans/s and the service histogram's p50/p99 alongside the
+// standard ns/op.
 func BenchmarkServePlan(b *testing.B) {
-	bench := func(b *testing.B, body func(i int) string) {
-		reg, err := service.NewRegistry(
-			[]service.PlatformSpec{{Name: "g5k", Source: "grid5000"}},
+	g5k := service.PlatformSpec{Name: "g5k", Source: "grid5000"}
+	bench := func(b *testing.B, spec service.PlatformSpec, body func(i int) string) {
+		reg, err := service.NewRegistry([]service.PlatformSpec{spec},
 			service.CacheCapacityFor(service.DefaultMaxInflight))
 		if err != nil {
 			b.Fatal(err)
@@ -54,14 +57,19 @@ func BenchmarkServePlan(b *testing.B) {
 		}
 	}
 	b.Run("hit", func(b *testing.B) {
-		bench(b, func(int) string {
+		bench(b, g5k, func(int) string {
 			return `{"platform":"g5k","heuristic":"ECEF-LAT","size":1048576}`
 		})
 	})
 	b.Run("miss", func(b *testing.B) {
-		bench(b, func(i int) string {
+		bench(b, g5k, func(i int) string {
 			// i == -1 (warmup) and every iteration key differently.
 			return fmt.Sprintf(`{"platform":"g5k","heuristic":"ECEF-LAT","size":%d}`, 1<<20+i+1)
+		})
+	})
+	b.Run("hit-pipelined", func(b *testing.B) {
+		bench(b, service.PlatformSpec{Name: "c32", Source: "random:1:32"}, func(int) string {
+			return `{"platform":"c32","heuristic":"ECEF-LAT","size":16777216,"pipelined":true}`
 		})
 	})
 }

@@ -45,6 +45,27 @@ func main() {
 	}
 }
 
+// Connection bounds. A client that trickles its request headers is cut
+// off after readHeaderTimeout instead of holding a goroutine and a file
+// descriptor forever; an idle keep-alive connection is closed after
+// idleTimeout, far above the gaps between requests of a client that
+// reuses its connection.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's http.Server with its connection
+// bounds.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("gridbcastd", flag.ContinueOnError)
 	var platforms platformFlags
@@ -76,7 +97,7 @@ func run(args []string) error {
 		Log:            logger,
 	})
 
-	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*listen, srv.Handler())
 
 	// SIGHUP hot-reloads the registry; SIGTERM/SIGINT drain and exit.
 	hup := make(chan os.Signal, 1)

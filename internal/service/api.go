@@ -37,21 +37,25 @@ type PlanRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// options translates the request to facade options. The context carries
-// the transport deadline; heuristic resolution errors surface as 400s.
-func (pr *PlanRequest) options(ctx context.Context) ([]gridbcast.Option, error) {
+// options translates the request to facade options and names its metrics
+// series label ("best", or the resolved heuristic's name). The context
+// carries the transport deadline; heuristic resolution errors surface as
+// 400s.
+func (pr *PlanRequest) options(ctx context.Context) ([]gridbcast.Option, string, error) {
 	opts := []gridbcast.Option{
 		gridbcast.WithRoot(pr.Root),
 		gridbcast.WithSize(pr.Size),
 		gridbcast.WithContext(ctx),
 		gridbcast.WithOverlap(pr.Overlap),
 	}
+	label := "best"
 	if pr.Heuristic != "" {
 		h, err := gridbcast.ParseHeuristic(pr.Heuristic)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		opts = append(opts, gridbcast.WithHeuristic(h))
+		label = h.Name()
 	}
 	if pr.SegmentSize > 0 {
 		opts = append(opts, gridbcast.WithSegments(pr.SegmentSize))
@@ -68,18 +72,7 @@ func (pr *PlanRequest) options(ctx context.Context) ([]gridbcast.Option, error) 
 	if pr.NoCache {
 		opts = append(opts, gridbcast.WithNoCache())
 	}
-	return opts, nil
-}
-
-// heuristicLabel is the metrics series label for the request.
-func (pr *PlanRequest) heuristicLabel() string {
-	if pr.Heuristic == "" {
-		return "best"
-	}
-	if h, err := gridbcast.ParseHeuristic(pr.Heuristic); err == nil {
-		return h.Name()
-	}
-	return pr.Heuristic
+	return opts, label, nil
 }
 
 // EventJSON is one scheduled transmission.

@@ -83,6 +83,9 @@ type Platform struct {
 	Generation uint64
 	// Session plans against the platform; safe for concurrent use.
 	Session *gridbcast.Session
+
+	// head is the constant part of this platform's response envelopes.
+	head wireHead
 }
 
 // table is one immutable registry generation.
@@ -143,9 +146,10 @@ func (r *Registry) load(gen uint64) (*table, error) {
 		}
 		// Warm the session: the fingerprint digest (O(n²)) and the default-
 		// size edge costs are paid here, not by the first request.
-		sess.Fingerprint()
+		fp := sess.Fingerprint()
 		t.platforms[sp.Name] = &Platform{
 			Name: sp.Name, Source: sp.Source, Generation: gen, Session: sess,
+			head: newWireHead(sp.Name, gen, fp),
 		}
 		t.names = append(t.names, sp.Name)
 	}

@@ -67,6 +67,7 @@ type Server struct {
 	sem      chan struct{}
 	inflight atomic.Int64
 	mux      *http.ServeMux
+	wire     planWire
 }
 
 // New builds a server over a loaded registry.
@@ -113,7 +114,8 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// writeJSON writes a 2xx JSON body.
+// writeJSON writes a JSON body: errors and the GET routes. The planning
+// routes' success bodies go through writeBody (wire.go).
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -233,7 +235,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.planContext(r, pr.DeadlineMS)
 	defer cancel()
-	opts, err := pr.options(ctx)
+	opts, label, err := pr.options(ctx)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -245,16 +247,15 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, planStatus(err), err.Error())
 		return
 	}
-	s.metrics.Observe(p.Name, pr.heuristicLabel(), outcome.String(), elapsed)
+	s.metrics.Observe(p.Name, label, outcome.String(), elapsed)
+	plan, err := s.planBytes(pl, pr.NoCache)
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, fmt.Sprintf("encode plan: %v", err))
+		return
+	}
 	s.metrics.Counters().OK.Add(1)
-	writeJSON(w, http.StatusOK, PlanResponse{
-		Platform:    p.Name,
-		Generation:  p.Generation,
-		Fingerprint: fmt.Sprintf("%016x", p.Session.Fingerprint()),
-		Outcome:     outcome.String(),
-		ElapsedUS:   us(elapsed),
-		Plan:        EncodePlan(pl),
-	})
+	bp := bodyPool.Get().(*[]byte)
+	writeBody(w, bp, appendPlanResponse(*bp, &p.head, outcome.String(), elapsed, plan))
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -300,7 +301,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("request %d: deadline_ms is set at the batch level", i))
 			return
 		}
-		opts, err := item.options(ctx)
+		opts, _, err := item.options(ctx)
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("request %d: %v", i, err))
 			return
@@ -316,16 +317,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, planStatus(err), err.Error())
 		return
 	}
-	resp := BatchResponse{
-		Platform:   p.Name,
-		Generation: p.Generation,
-		ElapsedUS:  us(elapsed),
-		Plans:      make([]*PlanJSON, len(plans)),
-		Errors:     make([]*string, len(plans)),
-	}
+	planJSON := make([][]byte, len(plans))
+	errs := make([]*string, len(plans))
 	for i, pl := range plans {
 		if pl != nil {
-			resp.Plans[i] = EncodePlan(pl)
+			b, err := s.planBytes(pl, br.Requests[i].NoCache)
+			if err != nil {
+				s.writeError(w, http.StatusInternalServerError, fmt.Sprintf("request %d: encode plan: %v", i, err))
+				return
+			}
+			planJSON[i] = b
 			continue
 		}
 		// PlanBatch reports per-slot failures through a joined error;
@@ -337,11 +338,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if slotErr != nil {
 			msg = slotErr.Error()
 		}
-		resp.Errors[i] = &msg
+		errs[i] = &msg
 	}
 	s.metrics.Observe(p.Name, "batch", "batch", elapsed)
 	s.metrics.Counters().OK.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	bp := bodyPool.Get().(*[]byte)
+	writeBody(w, bp, appendBatchResponse(*bp, &p.head, elapsed, planJSON, errs))
 }
 
 func allNil(plans []*gridbcast.Plan) bool {

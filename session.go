@@ -378,6 +378,13 @@ type Plan struct {
 	trace *sched.BuildTrace
 }
 
+// maxSegmentedSize bounds the message of a segmented or pipelined plan.
+// The segment arithmetic rounds the message up by one segment, which
+// overflows int64 for a message near MaxInt64 and wraps the segment count
+// negative; 1 PiB is far past any message the model is meant for and
+// keeps that arithmetic exact.
+const maxSegmentedSize = 1 << 50
+
 // validate pins down request errors at the facade boundary, before any
 // value reaches problem construction or indexing.
 func (s *Session) validate(req Request) error {
@@ -392,6 +399,9 @@ func (s *Session) validate(req Request) error {
 	}
 	if req.segmented && req.segSize <= 0 {
 		return fmt.Errorf("gridbcast: segment size %d must be positive", req.segSize)
+	}
+	if (req.segmented || req.pipelined) && req.size > maxSegmentedSize {
+		return fmt.Errorf("gridbcast: %d-byte message exceeds the %d-byte limit of segmented plans", req.size, maxSegmentedSize)
 	}
 	if req.segLocal && !req.segmented && !req.pipelined {
 		return errors.New("gridbcast: WithSegmentedLocal needs a segmented plan (WithSegments or WithPipelined)")

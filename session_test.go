@@ -214,6 +214,9 @@ func TestSessionPlanValidation(t *testing.T) {
 			gridbcast.WithSegments(1 << 10), gridbcast.WithPipelined()}, "mutually exclusive"},
 		{"refine on segments", []gridbcast.Option{gridbcast.WithSize(1 << 20),
 			gridbcast.WithSegments(1 << 10), gridbcast.WithRefine(1)}, "unsegmented"},
+		{"pipelined MaxInt64", []gridbcast.Option{gridbcast.WithSize(math.MaxInt64), gridbcast.WithPipelined()}, "limit of segmented plans"},
+		{"segmented MaxInt64", []gridbcast.Option{gridbcast.WithSize(math.MaxInt64), gridbcast.WithSegments(2)}, "limit of segmented plans"},
+		{"segmented past limit", []gridbcast.Option{gridbcast.WithSize(1<<50 + 1), gridbcast.WithSegments(1 << 50)}, "limit of segmented plans"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
@@ -223,6 +226,10 @@ func TestSessionPlanValidation(t *testing.T) {
 			}
 		})
 	}
+
+	// At the limit, segmented and pipelined plans still build.
+	mustPlan(t, sess, gridbcast.WithSize(1<<50), gridbcast.WithSegments(1<<50))
+	mustPlan(t, sess, gridbcast.WithSize(1<<50), gridbcast.WithPipelined())
 
 	// Execution and refinement entry points share the boundary validation.
 	if _, err := sess.ExecuteBinomial(-1, 1<<20); err == nil || !strings.Contains(err.Error(), "out of range") {
